@@ -178,6 +178,12 @@ type parsed struct {
 // first line that is not a well-formed unit or dead record — the torn final
 // line a crash leaves — and reports how many bytes of data were valid.
 // headerLen is the header line's length including its newline.
+//
+// A line counts only once its newline is on disk: append writes a record
+// and its newline together, so an unterminated final line was never
+// acknowledged, even when it holds complete JSON. Treating it as torn lets
+// Open truncate it, so the next append starts on a line of its own instead
+// of running into it.
 func parseRecords(data []byte, lines [][]byte, headerLen int) parsed {
 	p := parsed{
 		units: map[string]json.RawMessage{},
@@ -186,6 +192,10 @@ func parseRecords(data []byte, lines [][]byte, headerLen int) parsed {
 	}
 scan:
 	for _, line := range lines {
+		if p.good+len(line) >= len(data) {
+			// No newline follows this line.
+			break
+		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
 			break
@@ -209,9 +219,6 @@ scan:
 			break scan
 		}
 		p.good += len(line) + 1
-	}
-	if p.good > len(data) {
-		p.good = len(data)
 	}
 	return p
 }

@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
-// Reproduce: crash tears exactly the trailing newline of the last record.
-func TestReviewTornNewline(t *testing.T) {
+// TestTornTrailingNewline covers a crash that tears exactly the trailing
+// newline of the last record: the unterminated line was never acknowledged
+// and may be dropped, but a record appended after reopening must survive
+// the next reopen.
+func TestTornTrailingNewline(t *testing.T) {
 	fp := Fingerprint{Scale: 0.5, Instructions: 1000, Units: "fuzz", ParamsTag: "tag"}
 	path := filepath.Join(t.TempDir(), "j.ckpt")
 	j, err := Open(path, fp)

@@ -65,10 +65,13 @@ type Result struct {
 // over the probability simplex using exponentiated-gradient ascent, starting
 // from the provided distribution (which it mutates and returns). The target
 // is concave in p (Appendix A), so mirror descent converges to the maximum.
+// The gradient buffers are allocated once per call; iterations allocate
+// nothing.
 func (c *Channel) maximizeHelper(px info.Dist, q float64, iters int, step float64) (info.Dist, float64) {
+	s := c.newGradScratch()
 	grad := make([]float64, len(px))
 	for it := 0; it < iters; it++ {
-		c.objectiveGrad(px, q, grad)
+		c.objectiveGrad(px, q, grad, s)
 		// Exponentiated gradient: p <- p * exp(step * g), renormalized.
 		// Subtract the max gradient for numerical stability.
 		gmax := math.Inf(-1)
@@ -78,13 +81,13 @@ func (c *Channel) maximizeHelper(px info.Dist, q float64, iters int, step float6
 			}
 		}
 		sum := 0.0
-		for x := range px {
-			px[x] *= math.Exp(step * (grad[x] - gmax))
+		for x, g := range grad {
+			px[x] *= math.Exp(step * (g - gmax))
 			sum += px[x]
 		}
 		if sum <= 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
 			// Restart from uniform if the update degenerated.
-			px = info.NewUniform(len(px))
+			setUniform(px)
 			continue
 		}
 		for x := range px {
@@ -92,6 +95,15 @@ func (c *Channel) maximizeHelper(px info.Dist, q float64, iters int, step float6
 		}
 	}
 	return px, c.objective(px, q)
+}
+
+// setUniform overwrites d with the uniform distribution, bit-identical to
+// info.NewUniform(len(d)).
+func setUniform(d info.Dist) {
+	p := 1.0 / float64(len(d))
+	for i := range d {
+		d[i] = p
+	}
 }
 
 // MaxRate computes R'max for the channel via Dinkelbach's transform:
@@ -131,9 +143,10 @@ func (c *Channel) MaxRate(cfg SolverConfig) Result {
 	if slack <= 0 {
 		slack = 1e-4
 	}
+	trial := make(info.Dist, len(c.Durations))
 	for attempt := 0; attempt < 20; attempt++ {
 		qPrime := res.Rate + slack
-		trial := info.NewUniform(len(c.Durations))
+		setUniform(trial)
 		_, f := c.maximizeHelper(trial, qPrime, cfg.VerifyIterations, cfg.InnerStep)
 		if f <= 0 {
 			res.UpperBound = qPrime

@@ -1,9 +1,12 @@
 package covert
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
+
+	"untangle/internal/parallel"
 )
 
 // TableConfig describes the discretization of the covert channel used to
@@ -103,16 +106,30 @@ type RateTable struct {
 
 // NewRateTable precomputes entries 0..cfg.MaxMaintains. It is deterministic
 // and moderately expensive; share one table per configuration (see Shared).
+//
+// The entries are independent solves, each on its own Channel writing its
+// own slot, so they run concurrently on up to GOMAXPROCS workers. The table
+// is bit-identical at any GOMAXPROCS, and a failure reports the lowest
+// failing entry, as a serial build would.
 func NewRateTable(cfg TableConfig) (*RateTable, error) {
 	cfg = cfg.withDefaults()
 	t := &RateTable{cfg: cfg}
 	t.entries = make([]RateEntry, cfg.MaxMaintains+1)
-	for m := 0; m <= cfg.MaxMaintains; m++ {
-		e, err := cfg.solveEntry(m)
-		if err != nil {
-			return nil, fmt.Errorf("covert: table entry %d: %w", m, err)
+	// The pool hands out entries in ascending order and stops handing them
+	// out after the first failure, so every entry below a failing one runs.
+	errs := make([]error, len(t.entries))
+	err := parallel.ForEach(context.TODO(), len(t.entries), 0, func(_ context.Context, m int) error {
+		t.entries[m], errs[m] = cfg.solveEntry(m)
+		return errs[m]
+	})
+	for m, e := range errs {
+		if e != nil {
+			return nil, fmt.Errorf("covert: table entry %d: %w", m, e)
 		}
-		t.entries[m] = e
+	}
+	if err != nil {
+		// A panicking solve.
+		return nil, err
 	}
 	return t, nil
 }

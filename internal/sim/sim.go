@@ -216,9 +216,10 @@ func (c Config) rateTableConfig() covert.TableConfig {
 
 // WarmRateTables precomputes the process-wide covert rate table this
 // configuration's Untangle accountant consults (covert.Shared). Table
-// construction is a one-time multi-second cost that otherwise lands inside
-// whichever caller first builds an Untangle sim; benchmarks call this in
-// their setup so no timed region absorbs it.
+// construction is a one-time cost of a few CPU-seconds, spread across
+// GOMAXPROCS, that otherwise lands inside whichever caller first builds an
+// Untangle sim; benchmarks call this in their setup so no timed region
+// absorbs it.
 func (c Config) WarmRateTables() error {
 	_, err := covert.Shared(c.rateTableConfig())
 	return err

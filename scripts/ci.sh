@@ -7,8 +7,9 @@
 #           worker pool, the shard coordinator, the campaign service's
 #           bounded priority queue, the fault-injection harness, the
 #           checkpoint journal, the front-end trace cache, the
-#           observability layer, the experiment engine's resilience
-#           layer, the fused-mix-engine equivalence (clean runs and a
+#           observability layer, the covert rate table's concurrent
+#           build, the experiment engine's resilience layer, the
+#           fused-mix-engine equivalence (clean runs and a
 #           mid-mix kill-and-resume), and the cmd-level kill-and-resume,
 #           sharded worker-kill-and-merge, dead-letter-and-replay,
 #           serve-mode drain-and-restart, warm-cache, and
@@ -40,6 +41,7 @@ go test -race -short \
     ./internal/telemetry/... \
     ./internal/tracecache/... \
     ./internal/obs/... \
+    ./internal/covert/... \
     ./internal/campaign/...
 
 echo "==> go test -race (kill-and-resume + trace cache + observability equivalence)"
