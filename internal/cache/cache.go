@@ -18,9 +18,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"untangle/internal/telemetry"
 )
@@ -132,6 +133,9 @@ type Cache struct {
 	policy Policy
 	plru   []uint32
 	rng    uint64
+	// survivors is Resize's reinsertion buffer, kept so repeated resizes
+	// of a dynamic partition sort in place instead of allocating.
+	survivors []line
 }
 
 // New builds a cache with the given geometry.
@@ -442,8 +446,12 @@ func (c *Cache) Resize(newSize int64) error {
 		c.plru = make([]uint32, newSets)
 	}
 	// Reinsert surviving lines in LRU order (oldest first) so that when a
-	// new set overflows, the most recently used lines win.
-	survivors := make([]line, 0, len(oldTags))
+	// new set overflows, the most recently used lines win. Lines with tied
+	// stamps (Prefetch installs one tick below the clock) must keep the
+	// order sort.Slice gives them: slices.SortFunc is generated from the
+	// same pdqsort template and makes the same comparisons, and
+	// TestResizeMatchesSortSliceOracle pins the permutation.
+	survivors := c.survivors[:0]
 	for i, t := range oldTags {
 		if t != 0 {
 			survivors = append(survivors, line{
@@ -451,7 +459,8 @@ func (c *Cache) Resize(newSize int64) error {
 			})
 		}
 	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].lru < survivors[j].lru })
+	slices.SortFunc(survivors, func(a, b line) int { return cmp.Compare(a.lru, b.lru) })
+	c.survivors = survivors
 	for _, l := range survivors {
 		set := c.setIndex(l.lineAddr)
 		base := set * c.ways

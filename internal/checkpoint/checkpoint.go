@@ -162,6 +162,10 @@ type Journal struct {
 	done    map[string]json.RawMessage
 	dead    map[string]DeadLetter
 	resumed int
+	// err is the first failed write or sync. The file may then end in a
+	// torn line, so every later append returns err instead of writing
+	// past it; reopening the journal truncates the tear.
+	err error
 }
 
 // parsed is the outcome of replaying a journal's record lines: the
@@ -291,18 +295,27 @@ func create(path string, fp Fingerprint) (*Journal, error) {
 }
 
 // append marshals rec, writes it as one line, and makes it durable. The
-// caller must hold no lock; append takes it.
+// caller holds j.mu (or, like create, owns j alone) and updates the
+// in-memory state only after append succeeds, so a key never reads as
+// journaled unless its record is on disk. A failed write or sync is
+// sticky (see Journal.err).
 func (j *Journal) append(rec record) error {
+	if j.err != nil {
+		return fmt.Errorf("checkpoint: %s: an earlier append failed: %w", j.path, j.err)
+	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		j.err = err
 		return err
 	}
-	return j.f.Sync()
+	if err := j.f.Sync(); err != nil {
+		j.err = err
+		return err
+	}
+	return nil
 }
 
 // Record journals the completed unit key with its result value. Keys are
@@ -310,20 +323,24 @@ func (j *Journal) append(rec record) error {
 // callers need not special-case replayed units. Recording a key that was
 // dead-lettered supersedes the dead record — the replay path: the unit ran
 // to completion after its fault was fixed, so it is no longer poisoned.
+// The key reads as done only once its record is durable; on an error it
+// stays undone.
 func (j *Journal) Record(key string, value any) error {
 	raw, err := json.Marshal(value)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if _, ok := j.done[key]; ok {
-		j.mu.Unlock()
 		return nil
+	}
+	if err := j.append(record{Kind: "unit", Key: key, Value: raw}); err != nil {
+		return err
 	}
 	j.done[key] = raw
 	delete(j.dead, key)
-	j.mu.Unlock()
-	return j.append(record{Kind: "unit", Key: key, Value: raw})
+	return nil
 }
 
 // RecordDead journals key as dead-lettered: the unit is poisoned (it
@@ -341,13 +358,15 @@ func (j *Journal) RecordDead(dl DeadLetter) error {
 		return err
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if _, ok := j.done[dl.Key]; ok {
-		j.mu.Unlock()
 		return nil
 	}
+	if err := j.append(record{Kind: "dead", Key: dl.Key, Value: raw}); err != nil {
+		return err
+	}
 	j.dead[dl.Key] = dl
-	j.mu.Unlock()
-	return j.append(record{Kind: "dead", Key: dl.Key, Value: raw})
+	return nil
 }
 
 // Dead returns key's dead-letter record, if the unit is currently

@@ -27,8 +27,10 @@
 // With a front-end cache attached (SetFrontEndCache; -fe-cache on
 // cmd/experiments), each domain's tape is persisted as a rich .fetrace
 // entry: the measured stream, a KindMeasuredEnd marker, then a pressure
-// tail sized to what the slowest lane actually consumed plus slack. Warm
-// runs decode the entry instead of generating. The pressure tail is the
+// tail sized to what the slowest lane actually consumed plus slack. The
+// entry stores each observed access's monitor hit mask, and its key names
+// the monitor geometry, so warm runs decode the entry instead of
+// generating and run no shadow-array pass either. The pressure tail is the
 // one stored quantity whose needed length depends on the scheme mix — a
 // warm run that drains it (a lane kept a domain alive longer than the
 // recorded run did) discards its results, deletes the short entries, and
@@ -39,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -100,10 +103,12 @@ func mixScaleOverBudget(scale float64) bool {
 // mixStreamKey is the trace-cache identity of one mix domain's front-end
 // stream: the pair, the domain slot (the address-space offset hashes into
 // L1 set selection, so the same pair behaves differently per slot), the
-// scaled phase lengths and total, the secret, and the annotation switch
-// (both gates are baked into the recorded flags). The variant fields also
-// suffix the benchmark name so every distinct key gets a distinct file.
-func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, annotated bool, l1Bytes int64, l1Ways int) tracecache.Key {
+// scaled phase lengths and total, the secret, the annotation switch (both
+// gates are baked into the recorded flags), and the monitor geometry the
+// stored hit masks were resolved under (mon; WayPartitioned runs use
+// other candidate sizes). The variant fields also suffix the benchmark
+// name so every distinct key gets a distinct file.
+func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, annotated bool, l1Bytes int64, l1Ways int, mon monitor.Config) tracecache.Key {
 	name := fmt.Sprintf("mix-%s-d%d", pair.String(), idx)
 	if secret != 0 {
 		name += fmt.Sprintf("-s%x", secret)
@@ -111,6 +116,10 @@ func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, ann
 	if !annotated {
 		name += "-noannot"
 	}
+	geometry := fmt.Sprintf("sizes=%v ways=%d sample-log2=%d", mon.Sizes, mon.Ways, mon.SampleLog2)
+	h := fnv.New32a()
+	h.Write([]byte(geometry))
+	name += fmt.Sprintf("-m%08x", h.Sum32())
 	return tracecache.Key{
 		Benchmark:    name,
 		Instructions: scaleCount(fullTotal, scale),
@@ -123,6 +132,7 @@ func mixStreamKey(pair workload.Pair, idx int, scale float64, secret uint64, ann
 		SpecPhase:    scaleCount(fullSPECPhase, scale),
 		Secret:       secret,
 		Unannotated:  !annotated,
+		Monitor:      geometry,
 	}
 }
 
@@ -336,7 +346,8 @@ type mixDomain struct {
 // mixMonitorConfig is the monitor configuration every dynamic lane of this
 // mix uses — scheme-independent by construction (sim.Scaled varies only
 // SchemeConfig across kinds), which is what lets one recorder serve them
-// all. Window/Buckets are irrelevant to HitMask but keep New happy.
+// all and one cached mask vector serve every warm run with the same
+// geometry. Window/Buckets are irrelevant to HitMask but keep New happy.
 func mixMonitorConfig(opts Options, scale float64) monitor.Config {
 	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
 	sizes := geom.Sizes
@@ -348,20 +359,6 @@ func mixMonitorConfig(opts Options, scale float64) monitor.Config {
 		Ways:       geom.LLCWays,
 		Window:     geom.MonitorWindow,
 		SampleLog2: geom.MonitorSampleLog2,
-	}
-}
-
-// annotateMonMasks replays a decoded tape's observed accesses through a
-// fresh recorder, restoring the in-memory MonMask annotation the cache
-// never stores. One shadow pass per warm domain, instead of one per
-// dynamic lane.
-func annotateMonMasks(t *mixTape, rec *monitor.Monitor) {
-	for _, chunk := range t.chunks {
-		for j := range chunk {
-			if chunk[j].Flags&tracecache.FlagMonObserve != 0 {
-				chunk[j].MonMask = rec.HitMask(chunk[j].Addr, chunk[j].Flags&tracecache.FlagWrite != 0)
-			}
-		}
 	}
 }
 
@@ -381,6 +378,7 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	annotated := !opts.DisableAnnotations
 	// The L1 geometry every lane uses (scheme-independent, never scaled).
 	geom := sim.Scaled(partition.DefaultScheme(partition.Static), scale)
+	monCfg := mixMonitorConfig(opts, scale)
 
 	specs, err := BuildDomains(mix, scale, opts.Secret)
 	if err != nil {
@@ -390,7 +388,7 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 	for i, spec := range specs {
 		domains[i] = mixDomain{
 			spec: spec,
-			key:  mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways),
+			key:  mixStreamKey(mix.Pairs[i], i, scale, opts.Secret, annotated, geom.L1Bytes, geom.L1Ways, monCfg),
 		}
 	}
 
@@ -401,7 +399,7 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 
 	forceCold := make([]bool, len(domains))
 	for attempt := 0; ; attempt++ {
-		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, domains, forceCold, st, specs, scale)
+		res, retry, ok, err := runMixFusedOnce(ctx, mix, opts, domains, forceCold, st, specs, scale, monCfg)
 		if err != nil || !ok || !retry {
 			return res, ok, err
 		}
@@ -422,9 +420,8 @@ func runMixFused(ctx context.Context, mix workload.Mix, opts Options) (*MixResul
 // runMixFusedOnce runs one fused attempt. retry=true asks the caller to
 // regenerate (underrun entries already removed, forceCold updated);
 // ok=false routes to the oracle.
-func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domains []mixDomain, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64) (*MixResult, bool, bool, error) {
+func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domains []mixDomain, forceCold []bool, st *tracecache.Store, specs []sim.DomainSpec, scale float64, monCfg monitor.Config) (*MixResult, bool, bool, error) {
 	budget := &atomic.Int64{}
-	monCfg := mixMonitorConfig(opts, scale)
 	tapes := make([]*mixTape, len(domains))
 	for i := range domains {
 		t, ok, err := openMixTape(ctx, st, domains[i].key, budget, forceCold[i], scale)
@@ -434,11 +431,13 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 		if !ok {
 			return nil, false, false, nil // over budget: oracle
 		}
-		rec, err := monitor.New(monCfg)
-		if err != nil {
-			return nil, false, false, err
-		}
+		// A warm tape decodes with its masks; only a cold front end needs
+		// the recorder's shadow arrays.
 		if t == nil {
+			rec, err := monitor.New(monCfg)
+			if err != nil {
+				return nil, false, false, err
+			}
 			t = &mixTape{cold: true, fe: &mixFrontEnd{
 				ctx:       ctx,
 				measured:  isa.NewChunks(specs[i].Stream, laneChunk),
@@ -455,8 +454,6 @@ func runMixFusedOnce(ctx context.Context, mix workload.Mix, opts Options, domain
 			if t.fe.monL1, err = cache.New(geom); err != nil {
 				return nil, false, false, err
 			}
-		} else {
-			annotateMonMasks(t, rec)
 		}
 		tapes[i] = t
 	}

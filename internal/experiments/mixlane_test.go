@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"untangle/internal/monitor"
 	"untangle/internal/partition"
+	"untangle/internal/sim"
 	"untangle/internal/telemetry"
 	"untangle/internal/tracecache"
 	"untangle/internal/workload"
@@ -193,7 +197,7 @@ func TestMixFusionUnderrunRegenerates(t *testing.T) {
 	requireMixBitwiseEqual(t, "populate", cold, oracle)
 
 	// Truncate domain 0's entry to measured stream + marker, no tail.
-	key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8)
+	key := mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8, mixMonitorConfig(Options{}, fusionTestScale))
 	path := st.EntryPath(key)
 	r, err := st.Open(key)
 	if err != nil || r == nil {
@@ -262,5 +266,114 @@ func TestMixFusionOracleFlagForcesOracle(t *testing.T) {
 	c := st.Counters()
 	if c.Hits != 0 || c.Misses != 0 || c.BytesWritten != 0 {
 		t.Errorf("oracle path touched the cache: %+v", c)
+	}
+}
+
+// annotateMonMasks is the shadow-array oracle for the persisted masks: it
+// replays a tape's observed accesses through a fresh recorder and
+// overwrites each FlagMonObserve event's MonMask with the recomputed hit
+// vector. Before rich entries stored the masks, every warm run did this.
+func annotateMonMasks(t *mixTape, rec *monitor.Monitor) {
+	for _, chunk := range t.chunks {
+		for j := range chunk {
+			if chunk[j].Flags&tracecache.FlagMonObserve != 0 {
+				chunk[j].MonMask = rec.HitMask(chunk[j].Addr, chunk[j].Flags&tracecache.FlagWrite != 0)
+			}
+		}
+	}
+}
+
+// TestWarmMixMasksMatchRecomputation: every mask a warm run decodes from a
+// rich entry equals the shadow-array recomputation under the monitor
+// geometry the entry was keyed with, for the default and the
+// way-partitioned geometry. A way-partitioned run must not reuse the
+// default run's entries: their masks answer different candidate sizes.
+func TestWarmMixMasksMatchRecomputation(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, false)
+	SetFrontEndCache(st)
+	defer SetFrontEndCache(nil)
+	geom := sim.Scaled(partition.DefaultScheme(partition.Static), fusionTestScale)
+	for _, opts := range []Options{{Scale: fusionTestScale}, {Scale: fusionTestScale, WayPartitioned: true}} {
+		label := fmt.Sprintf("way-partitioned=%v", opts.WayPartitioned)
+		before := st.Counters()
+		if _, err := RunMix(mix, opts); err != nil {
+			t.Fatal(err)
+		}
+		if misses := st.Counters().Misses - before.Misses; misses != int64(len(mix.Pairs)) {
+			t.Fatalf("%s: populate missed %d times, want %d (entries shared across monitor geometries?)", label, misses, len(mix.Pairs))
+		}
+		monCfg := mixMonitorConfig(opts, fusionTestScale)
+		observed, nonzero := 0, 0
+		for d, pair := range mix.Pairs {
+			key := mixStreamKey(pair, d, fusionTestScale, 0, true, geom.L1Bytes, geom.L1Ways, monCfg)
+			r, err := st.Open(key)
+			if err != nil || r == nil {
+				t.Fatalf("%s: open domain %d: r=%v err=%v", label, d, r, err)
+			}
+			tape, err := decodeMixTape(context.Background(), r, &atomic.Int64{})
+			r.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stored []uint16
+			for _, chunk := range tape.chunks {
+				for _, ev := range chunk {
+					stored = append(stored, ev.MonMask)
+				}
+			}
+			rec, err := monitor.New(monCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			annotateMonMasks(tape, rec)
+			i := 0
+			for _, chunk := range tape.chunks {
+				for _, ev := range chunk {
+					if ev.MonMask != stored[i] {
+						t.Fatalf("%s: domain %d event %d: stored mask %#x, recomputed %#x", label, d, i, stored[i], ev.MonMask)
+					}
+					if ev.Flags&tracecache.FlagMonObserve != 0 {
+						observed++
+						if ev.MonMask != 0 {
+							nonzero++
+						}
+					}
+					i++
+				}
+			}
+		}
+		if nonzero == 0 {
+			t.Fatalf("%s: no nonzero mask among %d observed accesses; the check compared nothing", label, observed)
+		}
+	}
+}
+
+// TestMixStreamKeyMonitorGeometry: the mix key, and with it the entry's
+// file, depends on the monitor geometry the masks were resolved under.
+func TestMixStreamKeyMonitorGeometry(t *testing.T) {
+	mix, err := workload.MixByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, false)
+	key := func(opts Options) tracecache.Key {
+		return mixStreamKey(mix.Pairs[0], 0, fusionTestScale, 0, true, 32<<10, 8, mixMonitorConfig(opts, fusionTestScale))
+	}
+	def, way := key(Options{}), key(Options{WayPartitioned: true})
+	if def == way {
+		t.Fatalf("default and way-partitioned keys are equal: %s", def)
+	}
+	if def.Monitor == way.Monitor {
+		t.Errorf("monitor geometry not in the key: %q", def.Monitor)
+	}
+	if st.EntryPath(def) == st.EntryPath(way) {
+		t.Errorf("default and way-partitioned keys share the file %s", st.EntryPath(def))
+	}
+	if def != key(Options{}) {
+		t.Error("mix key is not deterministic")
 	}
 }

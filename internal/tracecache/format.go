@@ -17,9 +17,10 @@ const (
 	payloadMax     = blockSize - 1 // last byte holds the payload length
 	footerSentinel = 0xFF          // payload-length slot value marking the footer
 	// maxEventSize bounds one encoded event: control byte + escaped non-mem
-	// uvarint + address-delta uvarint. Events never split across blocks, so
-	// this must fit in payloadMax (it does, with room: 16 <= 63).
-	maxEventSize = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64
+	// uvarint + address-delta uvarint + (rich only) monitor-mask uvarint.
+	// Events never split across blocks, so this must fit in payloadMax (it
+	// does, with room: 19 <= 63).
+	maxEventSize = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64 + binary.MaxVarintLen16
 
 	// nonMemEscape in the control byte's high six bits means the run length
 	// did not fit inline and follows as a uvarint.
@@ -114,10 +115,10 @@ func (w *Writer) WriteEvents(events []Event) error {
 		if ev.Kind > KindL1Miss {
 			return fmt.Errorf("tracecache: invalid event kind %d", ev.Kind)
 		}
-		if ev.Flags != 0 {
-			// The classic encoding has no flag bits; dropping them silently
-			// would decode to a different stream.
-			return fmt.Errorf("tracecache: event flags %#x need the rich encoding (CreateRich)", ev.Flags)
+		if ev.Flags != 0 || ev.MonMask != 0 {
+			// The classic encoding has no flag bits or monitor masks;
+			// dropping them silently would decode to a different stream.
+			return fmt.Errorf("tracecache: event flags %#x / monitor mask %#x need the rich encoding (CreateRich)", ev.Flags, ev.MonMask)
 		}
 		scratch[0] = ev.Kind
 		n := 1
@@ -143,7 +144,8 @@ func (w *Writer) WriteEvents(events []Event) error {
 // bits) | flags (bits 2..6, bit 7 spare and zero), then the non-mem run as
 // a plain uvarint, then — when the event carries an address (an L1 miss,
 // or any access the monitor observes) — the address as a zigzag delta
-// uvarint on the writer's single delta chain.
+// uvarint on the writer's single delta chain, then — for monitor-observed
+// accesses only — the MonMask hit vector as a uvarint.
 func (w *Writer) writeRichEvents(events []Event) error {
 	var scratch [maxEventSize]byte
 	for _, ev := range events {
@@ -156,12 +158,19 @@ func (w *Writer) writeRichEvents(events []Event) error {
 		if ev.Kind == KindMeasuredEnd && (ev.Flags != 0 || ev.NonMem != 0 || ev.Addr != 0) {
 			return fmt.Errorf("tracecache: measured-end marker must be empty")
 		}
+		observed := ev.Flags&FlagMonObserve != 0
+		if ev.MonMask != 0 && !observed {
+			return fmt.Errorf("tracecache: monitor mask %#x on an event the monitor does not observe", ev.MonMask)
+		}
 		scratch[0] = ev.Kind | ev.Flags<<2
 		n := 1 + binary.PutUvarint(scratch[1:], uint64(ev.NonMem))
 		if richHasAddr(ev.Kind, ev.Flags) {
 			delta := int64(ev.Addr) - int64(w.prevAddr)
 			n += binary.PutUvarint(scratch[n:], zigzag(delta))
 			w.prevAddr = ev.Addr
+		}
+		if observed {
+			n += binary.PutUvarint(scratch[n:], uint64(ev.MonMask))
 		}
 		if err := w.put(scratch[:n]); err != nil {
 			return err
@@ -447,6 +456,14 @@ func (r *Reader) decodeRich() (Event, error) {
 		r.pos += n
 		ev.Addr = uint64(int64(r.prevAddr) + unzigzag(zz))
 		r.prevAddr = ev.Addr
+	}
+	if ev.Flags&FlagMonObserve != 0 {
+		m, n := binary.Uvarint(r.block[r.pos:r.n])
+		if n <= 0 || m > 0xFFFF {
+			return Event{}, fmt.Errorf("%w: bad monitor mask at event %d", ErrCorrupt, r.decoded)
+		}
+		r.pos += n
+		ev.MonMask = uint16(m)
 	}
 	return ev, nil
 }

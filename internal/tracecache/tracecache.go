@@ -25,7 +25,8 @@
 // File layout (all integers little-endian):
 //
 //	magic "UNTGFE01" (8 bytes)
-//	headerLen uint32, then headerLen bytes of JSON {"version":V,"key":{...}},
+//	headerLen uint32, then headerLen bytes of JSON
+//	  {"version":V,"key":{...}} (plus "events":"rich" for rich entries),
 //	  zero-padded so the data region starts on a 64-byte boundary
 //	data blocks: 64 bytes each — byte[63] = payload length n (0..63),
 //	  bytes[0:n] = packed events, events never split across blocks
@@ -35,12 +36,20 @@
 //	  bytes[0:8] = event count, bytes[8:12] = CRC-32C over every event's
 //	  encoded bytes
 //
-// Event encoding (within a block's payload): a control byte whose low two
-// bits are the kind and whose high six bits inline non-mem runs < 63 (63
-// escapes to a following uvarint), then — for L1 misses only — the address
-// as a zigzag-encoded delta uvarint, the same discipline as
+// Classic event encoding (within a block's payload): a control byte whose
+// low two bits are the kind and whose high six bits inline non-mem runs
+// < 63 (63 escapes to a following uvarint), then — for L1 misses only — the
+// address as a zigzag-encoded delta uvarint, the same discipline as
 // internal/isa/tracefile.go. Typical events are one byte; an L1 miss in a
 // strided scan is two or three.
+//
+// Rich event encoding (mix streams, header "events":"rich"; format v2): a
+// control byte holding the kind (bits 0..1) and the flag bits (2..6, bit 7
+// spare and zero), the non-mem run as a uvarint, then the address delta
+// for L1 misses and monitor-observed accesses, then — for monitor-observed
+// accesses only — the UMON shadow hit vector (Event.MonMask) as a uvarint.
+// Version 1 rich entries lacked the mask; they fail the version check on
+// open (or are regenerated under rebuild).
 package tracecache
 
 import (
@@ -60,20 +69,21 @@ import (
 // access. In the classic encoding only L1 misses carry an address — they
 // are the only events whose cost differs between LLC lanes. The rich
 // encoding (mix streams, see CreateRich) additionally carries the Flags
-// bits and an address for monitor-observed hits, so a full sim back-end
-// can be replayed from the stream. The experiments engine's feEvent is an
-// alias of this type.
+// bits, an address for monitor-observed hits, and their MonMask, so a full
+// sim back-end can be replayed from the stream. The experiments engine's
+// feEvent is an alias of this type.
 type Event struct {
 	Addr   uint64
 	NonMem uint32
 	Kind   uint8
 	Flags  uint8 // rich entries only; zero in classic entries
-	// MonMask is in-memory annotation only, never persisted: the monitor
-	// shadow-array hit vector (monitor.Monitor.HitMask) the fused mix
-	// engine precomputes for FlagMonObserve events so replay lanes apply
-	// it via ObserveMask instead of re-simulating the shadow arrays.
-	// Writers ignore it; readers return it zero — the engine recomputes
-	// masks from the decoded stream.
+	// MonMask is the monitor shadow-array hit vector
+	// (monitor.Monitor.HitMask) the fused mix engine resolves once per
+	// FlagMonObserve event, so replay lanes apply it via ObserveMask
+	// instead of re-simulating the shadow arrays. Rich entries persist it
+	// for exactly the FlagMonObserve events; the vector depends on the
+	// monitor geometry, which the entry's Key.Monitor records. It is zero
+	// on every other event, and the classic encoding rejects it.
 	MonMask uint16
 }
 
@@ -105,7 +115,7 @@ const flagsMask uint8 = FlagWrite | FlagMonObserve | FlagPublic | FlagL1Evict | 
 
 // FormatVersion is bumped on any change to the file layout or event
 // encoding; entries written by another version fail loudly on open.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Key identifies one cacheable front-end stream. Every field that can
 // change the stream participates: the benchmark (its parameter row), the
@@ -126,15 +136,17 @@ type Key struct {
 	// Domain is the domain slot (the address offset hashes into L1 set
 	// selection, so the same pair in different slots produces different
 	// streams); CryptoPhase/SpecPhase pin the loop interleave; Secret and
-	// Unannotated pin the crypto-side knobs that change the op stream.
-	// All zero for the classic sensitivity-study streams, so existing
-	// entries keep matching.
+	// Unannotated pin the crypto-side knobs that change the op stream;
+	// Monitor names the UMON geometry (candidate sizes, ways, sample
+	// factor) the stored MonMask vectors were resolved under. All zero for
+	// the classic sensitivity-study streams.
 	Flavor      string `json:"flavor,omitempty"`
 	Domain      int    `json:"domain,omitempty"`
 	CryptoPhase uint64 `json:"crypto_phase,omitempty"`
 	SpecPhase   uint64 `json:"spec_phase,omitempty"`
 	Secret      uint64 `json:"secret,omitempty"`
 	Unannotated bool   `json:"unannotated,omitempty"`
+	Monitor     string `json:"monitor,omitempty"`
 }
 
 // String renders the key for error messages.
@@ -148,6 +160,9 @@ func (k Key) String() string {
 		}
 		if k.Unannotated {
 			s += " unannotated"
+		}
+		if k.Monitor != "" {
+			s += " monitor=" + k.Monitor
 		}
 	}
 	return s + "}"
@@ -286,7 +301,8 @@ func (s *Store) Create(key Key) (*Writer, error) {
 }
 
 // CreateRich starts writing a rich-encoded entry (mix streams): events
-// carry the Flags bits, monitor-observed hits carry addresses, and a
+// carry the Flags bits, monitor-observed accesses carry addresses and
+// MonMask hit vectors, and a
 // KindMeasuredEnd marker separates the measured stream from the pressure
 // tail. Same staging and atomic-publish discipline as Create.
 func (s *Store) CreateRich(key Key) (*Writer, error) {

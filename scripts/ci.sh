@@ -13,7 +13,9 @@
 #           mid-mix kill-and-resume), and the cmd-level kill-and-resume,
 #           sharded worker-kill-and-merge, dead-letter-and-replay,
 #           serve-mode drain-and-restart, warm-cache, and
-#           observability-equivalence tests
+#           observability-equivalence tests, then a bounded (10 s per
+#           target) fuzz pass over the journal recovery, isa trace, and
+#           lane-sidecar fuzz targets
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -68,6 +70,15 @@ echo "==> go test -race (mix-fusion equivalence: clean + mid-mix kill)"
 go test -race -short -run 'TestMixFusionMatchesOracle|TestMixFusionUnderrunRegenerates' \
     ./internal/experiments/
 go test -race -run 'TestMixFusionCampaignOutputsMatchOracle' ./cmd/experiments/
+
+echo "==> bounded fuzz pass (durable-artifact recovery and decoders)"
+# Ten seconds of coverage-guided fuzzing per target on top of the seed
+# corpora the plain test run replays: journal recovery after arbitrary
+# tears, the isa trace round trip, and the lane-outcome sidecar decoder.
+# A crasher lands in the package's testdata/fuzz/ directory.
+go test -run '^$' -fuzz '^FuzzJournalRecovery$' -fuzztime 10s ./internal/checkpoint/
+go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/isa/
+go test -run '^$' -fuzz '^FuzzLaneSidecar$' -fuzztime 10s ./internal/tracecache/
 
 echo "==> benchjson gate (committed baselines)"
 # Committed-baseline deltas on sub-second single-iteration benchmarks
