@@ -580,7 +580,8 @@ func BenchmarkCampaignQueueOverhead(b *testing.B) {
 			ID:     name,
 			Phases: []campaign.PhaseSpec{{Name: "sensitivity", Keys: keys}},
 			Exec: func(ctx context.Context, key string) (json.RawMessage, error) {
-				return experiments.RunSensitivityUnit(ctx, strings.TrimPrefix(key, "sens/"), ins)
+				raw, _, err := experiments.RunSensitivityUnit(ctx, strings.TrimPrefix(key, "sens/"), ins)
+				return raw, err
 			},
 			Journal: j,
 		})

@@ -179,7 +179,6 @@ func TestValidateDLQConfig(t *testing.T) {
 		want string
 	}{
 		{"dlq without checkpoint", config{scale: 0.01, dlq: true}, "-checkpoint"},
-		{"dlq with shards", config{scale: 0.01, dlq: true, ckptPath: "x", shards: 2}, "-shards"},
 	} {
 		err := tc.cfg.validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -33,11 +33,12 @@
 // Long runs can be watched and profiled: -telemetry streams each mix's
 // structured events as JSONL while the run progresses, and the
 // -cpuprofile/-memprofile/-trace/-pprof flags profile the simulator
-// process itself. SIGINT stops cleanly: in-flight mixes finish, unstarted
-// ones are abandoned, and every writer is flushed and committed, so an
-// interrupted run leaves a valid (truncated but parseable) report and
-// JSONL stream rather than torn lines. A second SIGINT kills the process
-// immediately.
+// process itself. SIGINT stops cleanly: in-flight units stop at their next
+// engine chunk and, like unstarted ones, are left out of the report (a
+// -checkpoint resume runs them), and every writer is flushed and
+// committed, so an interrupted run leaves a valid (truncated but
+// parseable) report and JSONL stream rather than torn lines. A second
+// SIGINT kills the process immediately.
 //
 // Usage:
 //
@@ -46,12 +47,6 @@
 //	experiments -scale 0.01 -mixes 1,2,3,4  # just the Figure 10 mixes
 //	experiments -scale 1.0 -checkpoint run.ckpt -out report.txt
 //	experiments -scale 0.01 -telemetry run.jsonl -pprof localhost:6060
-//	experiments -scale 1.0 -checkpoint run.ckpt -shards 8   # N worker processes
-//
-// -shards N executes the campaign's units on N worker processes (re-execs
-// of this binary) with per-shard crash-recovery journals and automatic
-// worker respawn; the merged outputs are byte-identical to an in-process
-// run (see EXPERIMENTS.md "Sharded campaigns" and shard.go).
 package main
 
 import (
@@ -92,7 +87,6 @@ type config struct {
 	ids      []int
 	sensIns  uint64
 	jobs     int
-	shards   int
 	active   bool
 	traced   bool
 	outPath  string
@@ -124,11 +118,10 @@ type config struct {
 	// is not installed (see startObs).
 	observe func(phase, key string) func(outcome string, err error)
 
-	// oracleMixes forces mix units onto the per-scheme oracle path instead
-	// of the fused mix engine (experiments/mixlane.go). Results are bitwise
-	// identical either way; the flag exists for verification and timing
-	// comparisons.
-	oracleMixes bool // -oracle-mixes
+	// oracleMixes (tests only) forces mix units onto the per-scheme oracle
+	// path instead of the fused mix engine (experiments/mixlane.go) — the
+	// reference TestMixFusionCampaignOutputsMatchOracle compares against.
+	oracleMixes bool
 
 	// Observability (docs/TELEMETRY.md): all wall-clock, none of it touches
 	// the report or telemetry bytes.
@@ -197,16 +190,8 @@ func (r savedRow) row() experiments.Table6Row {
 func mixKey(id int) string { return fmt.Sprintf("mix/%d", id) }
 
 func main() {
-	// Worker mode short-circuits everything: the coordinator re-execs this
-	// binary with -shard-worker as the first argument (see shard.go), and
-	// the worker must not parse campaign flags, install signal handlers, or
-	// touch the campaign's outputs.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(workerMain(os.Args[2:]))
-	}
 	// Serve mode is the resident campaign service (serve.go): it owns its
-	// own flag set and signal handling, so it dispatches before flag.Parse
-	// like the shard worker does.
+	// own flag set and signal handling, so it dispatches before flag.Parse.
 	if len(os.Args) > 1 && os.Args[1] == "-serve" {
 		os.Exit(serveMain(os.Args[2:]))
 	}
@@ -220,10 +205,8 @@ func main() {
 		skipAct  = flag.Bool("skip-active", false, "skip the active-attacker accounting runs")
 		telemOut = flag.String("telemetry", "", "stream a JSONL telemetry event trace of every mix to this file")
 		jobs     = flag.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		shards   = flag.Int("shards", 0, "split the campaign across N worker processes (requires -checkpoint; 0/1 = in-process)")
 		ckpt     = flag.String("checkpoint", "", "journal completed units to this file and resume from it on restart")
 		feCache  = flag.String("fe-cache", "", "persist/replay front-end event streams (sensitivity study and mixes) in this directory")
-		oracleMx = flag.Bool("oracle-mixes", false, "run mixes on the per-scheme oracle path instead of the fused engine (bitwise-identical, slower)")
 		feRebld  = flag.Bool("fe-cache-rebuild", false, "regenerate corrupt or key-mismatched -fe-cache entries instead of failing")
 		dlqRun   = flag.Bool("dlq", false, "run units through the campaign service: poisoned units dead-letter into the journal and the run completes degraded (requires -checkpoint)")
 		replay   = flag.Bool("replay", false, "re-drive units the checkpoint journal holds dead letters for (implies -dlq)")
@@ -244,7 +227,6 @@ func main() {
 		ids:            ids,
 		sensIns:        *sensIns,
 		jobs:           *jobs,
-		shards:         *shards,
 		active:         !*skipAct,
 		traced:         *telemOut != "",
 		outPath:        *outPath,
@@ -255,7 +237,6 @@ func main() {
 		priority:       *priority,
 		feCacheDir:     *feCache,
 		feCacheRebuild: *feRebld,
-		oracleMixes:    *oracleMx,
 		httpAddr:       *httpAddr,
 		obsPath:        *obsTrace,
 		quiet:          *quiet,
@@ -300,17 +281,8 @@ func (c config) validate() error {
 	if c.feCacheRebuild && c.feCacheDir == "" {
 		return fmt.Errorf("-fe-cache-rebuild requires -fe-cache")
 	}
-	if c.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", c.shards)
-	}
-	if c.shards > 1 && c.ckptPath == "" {
-		return fmt.Errorf("-shards requires -checkpoint (the per-shard journals derive from it)")
-	}
 	if c.dlq && c.ckptPath == "" {
 		return fmt.Errorf("-dlq requires -checkpoint (the journal is the dead-letter store)")
-	}
-	if c.dlq && c.shards > 1 {
-		return fmt.Errorf("-dlq is incompatible with -shards (the campaign service owns unit execution)")
 	}
 	return nil
 }
@@ -404,29 +376,11 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 	}
 	defer func() { obsSt.stop(retErr) }()
 
-	// Sharded execution: spawn the worker processes up front so both
-	// phases reuse them. The campaign's phase structure, interrupt
-	// semantics, and outputs are identical either way — only where the
-	// units execute changes.
-	var sc *shardCampaign
-	if cfg.shards > 1 {
-		sc, err = newShardCampaign(cfg, journal)
-		if err != nil {
-			return err
-		}
-		defer sc.close()
-	}
-
-	// Dead-letter execution: route the units through the resident campaign
-	// service so a poisoned unit degrades the run instead of failing it.
-	var qc *queueCampaign
-	if cfg.dlq {
-		qc, err = newQueueCampaign(cfg, journal)
-		if err != nil {
-			return err
-		}
-		defer qc.close()
-	}
+	// The units run on the in-process pool, or — under -dlq — through the
+	// campaign service, so a poisoned unit degrades the run instead of
+	// failing it (units.go).
+	units := newUnitRunner(cfg, journal)
+	defer units.close()
 
 	// Figure 11.
 	var study []experiments.SensitivityResult
@@ -434,14 +388,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 		log.Printf("running Figure 11 sensitivity study (%d instructions per benchmark pass, %d jobs)...",
 			cfg.sensIns, cfg.jobs)
 		var err error
-		switch {
-		case qc != nil:
-			study, err = qc.sensitivityStudy(ctx)
-		case sc != nil:
-			study, err = sc.sensitivityStudy(ctx)
-		default:
-			study, err = experiments.SensitivityStudyCheckpointed(ctx, cfg.sensIns, cfg.jobs, journal)
-		}
+		study, err = units.sensitivityStudy(ctx)
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, campaign.ErrInterrupted) {
 				log.Print("interrupted during the sensitivity study")
@@ -457,16 +404,7 @@ func run(ctx context.Context, cfg config, stdout io.Writer) (retErr error) {
 	// worker runs its mix's four schemes (sequentially when several mixes
 	// share the pool, so -jobs bounds total concurrency) and then the
 	// worst-case accounting rerun, and journals the finished unit.
-	var outcomes []*savedMix
-	var runErr error
-	switch {
-	case qc != nil:
-		outcomes, runErr = qc.runMixes(ctx, study)
-	case sc != nil:
-		outcomes, runErr = sc.runMixes(ctx, study)
-	default:
-		outcomes, runErr = runMixes(ctx, cfg, study, journal)
-	}
+	outcomes, runErr := units.runMixes(ctx, study)
 	if runErr != nil && ctx.Err() == nil && !errors.Is(runErr, campaign.ErrInterrupted) {
 		return runErr
 	}
@@ -575,64 +513,12 @@ func commit(telemSink *telemetry.JSONL, telemFile, outFile *fsutil.AtomicFile) e
 	return nil
 }
 
-// runMixes fans the mixes onto the worker pool and collects each mix's
-// rendered outcome by index. Units already in the journal are replayed
-// without simulating; fresh units retry transient failures, then journal.
-// A canceled context abandons unstarted mixes; the returned slice still
-// holds every completed outcome. A unit the cancellation cut short (main
-// run done, active rerun not) is reported but never journaled, so a resume
-// re-runs it in full rather than recording a truncated outcome.
-func runMixes(ctx context.Context, cfg config, study []experiments.SensitivityResult, journal *checkpoint.Journal) ([]*savedMix, error) {
-	// Scheme-level concurrency only helps when the mixes themselves cannot
-	// fill the pool.
-	innerJobs := 1
-	if len(cfg.ids) == 1 {
-		innerJobs = cfg.jobs
-	}
-	return parallel.Map(ctx, len(cfg.ids), cfg.jobs, func(ctx context.Context, i int) (out *savedMix, err error) {
-		id := cfg.ids[i]
-		key := mixKey(id)
-		// Observability: report the unit's begin/end (with its outcome and
-		// error status) to whatever observer the command installed. No-op
-		// when observability is off — unitDone is nil.
-		outcome := experiments.UnitGenerated
-		if unitDone := experiments.ObserveUnit("mix", key); unitDone != nil {
-			defer func() { unitDone(outcome, err) }()
-		}
-		if journal != nil {
-			var sv savedMix
-			if ok, err := journal.Lookup(key, &sv); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-			} else if ok {
-				log.Printf("mix %d: resumed from checkpoint", id)
-				outcome = experiments.UnitResumed
-				return &sv, nil
-			}
-		}
-		sv, err := runMixUnit(ctx, cfg, study, id, innerJobs)
-		if err != nil {
-			return nil, err
-		}
-		if journal != nil && (!cfg.active || sv.HaveActive) {
-			if err := journal.Record(key, sv); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: %w", key, err)
-			}
-		}
-		if cfg.unitHook != nil {
-			cfg.unitHook(key)
-		}
-		return sv, nil
-	})
-}
-
 // runMixUnit simulates one mix in full — the four-scheme run with
 // per-scheme telemetry buffers, the worst-case accounting rerun, and the
-// rendered report group — and returns the unit's journal value. It is the
-// single execution path for a mix whether the unit runs on the in-process
-// pool or inside a shard worker, which is what makes the two journals
-// byte-identical. A cancellation that lands between the main run and the
-// active rerun returns sv with HaveActive false; callers must not journal
-// such a truncated unit (a resume re-runs it in full).
+// rendered report group — and returns the unit's journal value. A
+// cancellation that lands between the main run and the active rerun
+// returns sv with HaveActive false; callers must not journal such a
+// truncated unit (a resume re-runs it in full).
 func runMixUnit(ctx context.Context, cfg config, study []experiments.SensitivityResult, id, innerJobs int) (*savedMix, error) {
 	key := mixKey(id)
 	mix, err := workload.MixByID(id)

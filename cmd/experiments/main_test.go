@@ -13,6 +13,16 @@ import (
 	"untangle/internal/faultinject"
 )
 
+// TestMain lets this test binary double as the resident campaign service:
+// the serve tests re-exec os.Executable() with -serve as the first
+// argument, which in tests is this binary.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-serve" {
+		os.Exit(serveMain(os.Args[2:]))
+	}
+	os.Exit(m.Run())
+}
+
 func TestParseMixes(t *testing.T) {
 	ids, err := parseMixes("")
 	if err != nil || len(ids) != 16 {
@@ -50,8 +60,6 @@ func TestValidateConfig(t *testing.T) {
 		{"negative scale", config{scale: -1}, "-scale"},
 		{"scale above 1", config{scale: 1.5}, "-scale"},
 		{"negative jobs", config{scale: 0.01, jobs: -2}, "-jobs"},
-		{"negative shards", config{scale: 0.01, shards: -1}, "-shards"},
-		{"shards without checkpoint", config{scale: 0.01, shards: 4}, "-checkpoint"},
 	} {
 		err := tc.cfg.validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -97,10 +105,11 @@ func runCampaignFiles(t *testing.T, ctx context.Context, cfg config) (report, tr
 // The headline robustness guarantee: kill the campaign at unit k, resume
 // from the checkpoint, and the final report and telemetry trace are
 // byte-identical to a never-interrupted run's. Exercised for a kill inside
-// the sensitivity study and a kill between mix units.
+// the sensitivity study, a kill between mix units, and a kill under the
+// in-process pool resumed through the campaign service (-dlq).
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs five small campaigns")
+		t.Skip("runs seven small campaigns")
 	}
 	freshReport, freshTrace := runCampaignFiles(t, context.Background(), equivalenceConfig(t.TempDir()))
 
@@ -165,11 +174,47 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			t.Errorf("resumed telemetry differs from fresh run (%d vs %d bytes)", len(gotTrace), len(freshTrace))
 		}
 	})
+
+	// The journal is the only state a resume reads, so the executor may
+	// change across the restart: units the in-process pool journaled are
+	// skipped as resumed by the campaign service, which runs the rest.
+	t.Run("kill-in-pool-resume-under-dlq", func(t *testing.T) {
+		cfg := equivalenceConfig(t.TempDir())
+		cfg.ckptPath = filepath.Join(filepath.Dir(cfg.outPath), "run.ckpt")
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.unitHook = func(key string) {
+			if strings.HasPrefix(key, "mix/") {
+				cancel()
+			}
+		}
+		if err := run(ctx, cfg, io.Discard); err != nil {
+			t.Fatalf("interrupted run did not exit cleanly: %v", err)
+		}
+		partial, err := os.ReadFile(cfg.outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(partial, []byte("1/2 mixes")) {
+			t.Fatalf("kill point missed the mix phase; interrupted manifest:\n%s", partial)
+		}
+
+		cfg.unitHook = nil
+		cfg.dlq = true
+		gotReport, gotTrace := runCampaignFiles(t, context.Background(), cfg)
+		if !bytes.Equal(gotReport, freshReport) {
+			t.Errorf("report resumed under -dlq differs from fresh run (%d vs %d bytes)", len(gotReport), len(freshReport))
+		}
+		if !bytes.Equal(gotTrace, freshTrace) {
+			t.Errorf("telemetry resumed under -dlq differs from fresh run (%d vs %d bytes)", len(gotTrace), len(freshTrace))
+		}
+	})
 }
 
 // The fused mix engine must be invisible at the campaign level: the -out
-// and -telemetry files of a default campaign byte-equal the -oracle-mixes
-// campaign's, cold, through a populated and a warm front-end cache, and
+// and -telemetry files of a default campaign byte-equal those of a
+// campaign on the per-scheme oracle path (cfg.oracleMixes), cold, through a populated and a warm front-end cache, and
 // across a checkpointed kill that lands inside a mix front-end.
 func TestMixFusionCampaignOutputsMatchOracle(t *testing.T) {
 	if testing.Short() {

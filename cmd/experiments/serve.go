@@ -266,6 +266,7 @@ func (r campaignRequest) config(st *serveState) (config, error) {
 		scale:     r.Scale,
 		ids:       ids,
 		sensIns:   r.SensIns,
+		jobs:      1, // the shared service's workers are the parallelism
 		active:    !r.SkipActive,
 		traced:    r.Telemetry != "",
 		outPath:   r.Out,

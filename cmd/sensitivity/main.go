@@ -10,8 +10,6 @@
 // Results are identical for every -jobs value. SIGINT cancels the study:
 // in-flight passes stop at their next front-end chunk.
 //
-// Usage:
-//
 // A full-fidelity study can journal its progress: -checkpoint records each
 // completed benchmark pass to a crash-safe JSONL file, and a restarted
 // study with the same flags skips the journaled passes and reproduces the
@@ -25,7 +23,6 @@
 //	sensitivity -instructions 3000000 # higher fidelity
 //	sensitivity -classify-only        # adequate sizes only
 //	sensitivity -checkpoint study.ckpt # journal passes; resume on restart
-//	sensitivity -checkpoint study.ckpt -shards 8 # N worker processes
 package main
 
 import (
@@ -49,18 +46,12 @@ import (
 )
 
 func main() {
-	// Worker mode short-circuits everything (see shard.go): the coordinator
-	// re-execs this binary with -shard-worker as the first argument.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(workerMain(os.Args[2:]))
-	}
 	log.SetFlags(0)
 	log.SetPrefix("sensitivity: ")
 	var (
 		bench        = flag.String("bench", "", "run a single benchmark (default: all 36)")
 		instructions = flag.Uint64("instructions", 1_500_000, "measured instructions per run (an equal warmup precedes)")
 		jobs         = flag.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		shards       = flag.Int("shards", 0, "split the study across N worker processes (requires -checkpoint; 0/1 = in-process)")
 		classifyOnly = flag.Bool("classify-only", false, "print adequate sizes only instead of the full curve")
 		ckpt         = flag.String("checkpoint", "", "journal completed benchmark passes to this file and resume from it on restart")
 		feCache      = flag.String("fe-cache", "", "persist/replay front-end event streams in this directory")
@@ -74,15 +65,6 @@ func main() {
 	}
 	if *feRebuild && *feCache == "" {
 		log.Fatal("-fe-cache-rebuild requires -fe-cache")
-	}
-	if *shards < 0 {
-		log.Fatalf("-shards must be >= 0, got %d", *shards)
-	}
-	if *shards > 1 && *ckpt == "" {
-		log.Fatal("-shards requires -checkpoint (the per-shard journals derive from it)")
-	}
-	if *shards > 1 && *bench != "" {
-		log.Fatal("-shards runs the full study; it cannot be combined with -bench")
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -179,8 +161,6 @@ func main() {
 		var r experiments.SensitivityResult
 		r, err = experiments.Sensitivity(*bench, *instructions)
 		study = []experiments.SensitivityResult{r}
-	case *shards > 1:
-		study, err = runShardedStudy(ctx, *shards, *instructions, journal, *feCache, *feRebuild)
 	default:
 		study, err = experiments.SensitivityStudyCheckpointed(ctx, *instructions, *jobs, journal)
 	}

@@ -425,82 +425,6 @@ func (j *Journal) Done(key string) bool {
 // the work a restart skipped.
 func (j *Journal) Resumed() int { return j.resumed }
 
-// ReadUnits loads the completed units of the journal at path without opening
-// it for appending — the read side of a shard merge, safe to call on a
-// journal file whose writing process just died (a torn final line, the
-// record the death interrupted, is skipped; the file is not modified). The
-// journal's fingerprint must match fp exactly: merging units journaled under
-// a different configuration is the corruption a fingerprint exists to
-// prevent, so a mismatch is an error naming both. A missing file is not an
-// error — it returns an empty map, the natural zero of a merge.
-func ReadUnits(path string, fp Fingerprint) (map[string]json.RawMessage, error) {
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		return map[string]json.RawMessage{}, nil
-	case err != nil:
-		return nil, err
-	case len(data) == 0 || !bytes.ContainsRune(data, '\n'):
-		// Header write never landed: no units recorded.
-		return map[string]json.RawMessage{}, nil
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	var hdr record
-	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Kind != "header" || hdr.Fingerprint == nil {
-		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint journal", path)
-	}
-	if hdr.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, this binary reads %d", path, hdr.Version, Version)
-	}
-	if hdr.Fingerprint.String() != fp.String() {
-		return nil, fmt.Errorf("checkpoint: %s was written by a different configuration\n  journal: %s\n  this run: %s",
-			path, hdr.Fingerprint, fp)
-	}
-	return parseRecords(data, lines[1:], len(lines[0])+1).units, nil
-}
-
-// MergeFrom folds the units of the journal at path into j, appending (and
-// making durable) every unit j does not already hold. The source must carry
-// j's fingerprint. Units are deterministic functions of the fingerprinted
-// configuration, so a key present in both journals must hold byte-identical
-// values; a disagreement means one of the journals is lying about its
-// configuration (or a unit is nondeterministic) and fails the merge loudly
-// rather than silently preferring either side. The completion order of the
-// source journal is irrelevant — units merge by key — which is what lets
-// per-shard journals, each recording its own interleaving of the campaign,
-// collapse into one canonical journal. Returns how many units were new.
-func (j *Journal) MergeFrom(path string) (added int, err error) {
-	units, err := ReadUnits(path, j.fp)
-	if err != nil {
-		return 0, err
-	}
-	// Deterministic append order keeps merged journals reproducible even
-	// though lookup is by key.
-	keys := make([]string, 0, len(units))
-	for key := range units {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		raw := units[key]
-		j.mu.Lock()
-		prev, ok := j.done[key]
-		j.mu.Unlock()
-		if ok {
-			if !bytes.Equal(prev, raw) {
-				return added, fmt.Errorf("checkpoint: merge of %s: unit %q disagrees with the value already journaled (%d vs %d bytes) — same fingerprint, different results",
-					path, key, len(raw), len(prev))
-			}
-			continue
-		}
-		if err := j.Record(key, json.RawMessage(raw)); err != nil {
-			return added, fmt.Errorf("checkpoint: merge of %s: %w", path, err)
-		}
-		added++
-	}
-	return added, nil
-}
-
 // Path returns the journal's file path, so sidecar files (the observability
 // heartbeat) can be placed next to it.
 func (j *Journal) Path() string { return j.path }

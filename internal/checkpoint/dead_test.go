@@ -109,8 +109,7 @@ func TestDeadLetterNeverShadowsResult(t *testing.T) {
 }
 
 // Dead records interleaved with unit records must not truncate the replay:
-// ReadUnits (the shard-merge read path) skips them, and units journaled
-// after a dead record survive a reopen.
+// units journaled after a dead record survive a reopen.
 func TestDeadRecordsDoNotTruncateReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	j, err := Open(path, dlqFP())
@@ -128,13 +127,14 @@ func TestDeadRecordsDoNotTruncateReplay(t *testing.T) {
 	}
 	j.Close()
 
-	units, err := ReadUnits(path, dlqFP())
+	j, err = Open(path, dlqFP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) != 2 {
-		t.Fatalf("ReadUnits = %d units, want 2 (dead record truncated the scan?)", len(units))
+	if j.Len() != 2 || j.DeadLen() != 1 || !j.Done("u/2") {
+		t.Fatalf("reopen: Len=%d DeadLen=%d u/2 done=%t (dead record truncated the replay?)", j.Len(), j.DeadLen(), j.Done("u/2"))
 	}
+	j.Close()
 
 	// A torn final line after the interleaved records still truncates
 	// cleanly and keeps everything before it.

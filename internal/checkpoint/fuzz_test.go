@@ -12,7 +12,7 @@ import (
 // torn final lines, torn headers, interleaved garbage, half-written dead
 // records — and checks the recovery invariants:
 //
-//   - Open and ReadUnits never panic and never hang.
+//   - Open never panics and never hangs.
 //   - When Open succeeds, the journal is appendable: a fresh unit recorded
 //     into the recovered file is visible after a reopen, alongside every
 //     unit the recovery kept (recovery truncates the torn tail, so the file
@@ -39,13 +39,13 @@ func FuzzJournalRecovery(f *testing.F) {
 	valid = append(valid, dead("mix/2")...)
 	valid = append(valid, unit("mix/1", "2")...)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-7])             // torn final line
-	f.Add(header()[:10])                    // torn header
-	f.Add(append(valid[:0:0], valid...))    // pristine copy
-	f.Add(append(valid, "{garbage\n"...))   // trailing garbage line
-	f.Add(append(valid, valid...))          // duplicated journal (second header is garbage)
-	f.Add([]byte("\n\n\n"))                 // blank lines only
-	f.Add(append(header(), dead("")...))    // dead record with empty key
+	f.Add(valid[:len(valid)-7])           // torn final line
+	f.Add(header()[:10])                  // torn header
+	f.Add(append(valid[:0:0], valid...))  // pristine copy
+	f.Add(append(valid, "{garbage\n"...)) // trailing garbage line
+	f.Add(append(valid, valid...))        // duplicated journal (second header is garbage)
+	f.Add([]byte("\n\n\n"))               // blank lines only
+	f.Add(append(header(), dead("")...))  // dead record with empty key
 	f.Add(append(header(), []byte(`{"kind":"dead","key":"x","value":"notanobject"}`+"\n")...))
 	f.Add([]byte{})
 
@@ -54,12 +54,6 @@ func FuzzJournalRecovery(f *testing.F) {
 		path := filepath.Join(dir, "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-
-		// The read-side path must tolerate anything.
-		if _, err := ReadUnits(path, fp); err != nil {
-			// An error is fine (not-a-journal, wrong version); a panic is not.
-			_ = err
 		}
 
 		j, err := Open(path, fp)

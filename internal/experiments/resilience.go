@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"untangle/internal/checkpoint"
 	"untangle/internal/parallel"
 	"untangle/internal/partition"
+	"untangle/internal/tracecache"
 	"untangle/internal/workload"
 )
 
@@ -96,68 +98,108 @@ func SensitivityStudyCheckpointed(ctx context.Context, instructions uint64, jobs
 	params := sortedSPECParams()
 	store := FrontEndCache()
 	return parallel.Map(ctx, len(params), jobs,
-		func(ctx context.Context, i int) (SensitivityResult, error) {
+		func(ctx context.Context, i int) (r SensitivityResult, err error) {
 			key := SensitivityKey(params[i].Name)
-			unitDone := ObserveUnit("sensitivity", params[i].Name)
+			outcome := UnitGenerated
+			if unitDone := ObserveUnit("sensitivity", params[i].Name); unitDone != nil {
+				defer func() { unitDone(outcome, err) }()
+			}
 			if j != nil {
 				var u sensUnit
 				if ok, err := j.Lookup(key, &u); err != nil {
-					if unitDone != nil {
-						unitDone(UnitGenerated, err)
-					}
 					return SensitivityResult{}, fmt.Errorf("checkpoint %s: %w", key, err)
 				} else if ok {
-					if unitDone != nil {
-						unitDone(UnitResumed, nil)
-					}
+					outcome = UnitResumed
 					return u.result(), nil
 				}
 			}
-			var (
-				sizes   []int64
-				ipcs    []float64
-				outcome string
-			)
-			err := parallel.RetryUnit(ctx, key, RetryAttempts, RetryBackoff, func(ctx context.Context, attempt int) error {
-				if ferr := FireUnitFault(key); ferr != nil {
-					return ferr
-				}
-				passDone := ObserveUnit("sensitivity/pass", fmt.Sprintf("%s#%d", params[i].Name, attempt))
-				e := enginePool.Get().(*laneEngine)
-				defer enginePool.Put(e)
-				sizes = e.sizes
-				var (
-					replayed bool
-					err      error
-				)
-				ipcs, replayed, err = e.run(ctx, store, params[i], instructions)
-				outcome = UnitGenerated
-				if replayed {
-					outcome = UnitReplayed
-				}
-				if passDone != nil {
-					passDone(outcome, err)
-				}
-				return err
-			})
-			if err != nil {
-				if unitDone != nil {
-					unitDone(UnitGenerated, err)
-				}
+			if r, outcome, err = sensitivityUnit(ctx, store, params[i], instructions); err != nil {
 				return SensitivityResult{}, err
 			}
-			r := assembleSensitivity(params[i].Name, sizes, ipcs)
 			if j != nil {
 				if err := j.Record(key, toSensUnit(r)); err != nil {
-					if unitDone != nil {
-						unitDone(UnitGenerated, err)
-					}
 					return SensitivityResult{}, fmt.Errorf("checkpoint %s: %w", key, err)
 				}
 			}
-			if unitDone != nil {
-				unitDone(outcome, nil)
-			}
 			return r, nil
 		})
+}
+
+// sensitivityUnit is the one execution body of a sensitivity unit: the
+// benchmark's multi-lane pass on a pooled engine, retried on transient
+// failure behind the unit fault seam, each attempt observed as a
+// "sensitivity/pass" sub-span. The outcome is UnitReplayed when the last
+// attempt replayed its front end from store, else UnitGenerated.
+func sensitivityUnit(ctx context.Context, store *tracecache.Store, p workload.Params, instructions uint64) (SensitivityResult, string, error) {
+	key := SensitivityKey(p.Name)
+	var (
+		sizes   []int64
+		ipcs    []float64
+		outcome string
+	)
+	err := parallel.RetryUnit(ctx, key, RetryAttempts, RetryBackoff, func(ctx context.Context, attempt int) error {
+		if ferr := FireUnitFault(key); ferr != nil {
+			return ferr
+		}
+		passDone := ObserveUnit("sensitivity/pass", fmt.Sprintf("%s#%d", p.Name, attempt))
+		e := enginePool.Get().(*laneEngine)
+		defer enginePool.Put(e)
+		sizes = e.sizes
+		var (
+			replayed bool
+			err      error
+		)
+		ipcs, replayed, err = e.run(ctx, store, p, instructions)
+		outcome = UnitGenerated
+		if replayed {
+			outcome = UnitReplayed
+		}
+		if passDone != nil {
+			passDone(outcome, err)
+		}
+		return err
+	})
+	if err != nil {
+		return SensitivityResult{}, UnitGenerated, err
+	}
+	return assembleSensitivity(p.Name, sizes, ipcs), outcome, nil
+}
+
+// SensitivityOrder returns the benchmark names of the Figure 11 study in
+// canonical (sorted) execution order — the order the study fans out and
+// the order a campaign enumerates its sensitivity units.
+func SensitivityOrder() []string {
+	params := sortedSPECParams()
+	names := make([]string, len(params))
+	for i, p := range params {
+		names[i] = p.Name
+	}
+	return names
+}
+
+// RunSensitivityUnit executes one benchmark's sensitivity unit by name and
+// returns its journal encoding — the bytes SensitivityStudyCheckpointed
+// records for the same unit — and its outcome (UnitGenerated or
+// UnitReplayed). Campaigns that run units by key call it.
+func RunSensitivityUnit(ctx context.Context, name string, instructions uint64) (json.RawMessage, string, error) {
+	p, err := workload.SPECByName(name)
+	if err != nil {
+		return nil, UnitGenerated, err
+	}
+	r, outcome, err := sensitivityUnit(ctx, FrontEndCache(), p, instructions)
+	if err != nil {
+		return nil, outcome, err
+	}
+	raw, err := json.Marshal(toSensUnit(r))
+	return raw, outcome, err
+}
+
+// DecodeSensitivityUnit reverses the journal encoding of one benchmark's
+// unit.
+func DecodeSensitivityUnit(raw json.RawMessage) (SensitivityResult, error) {
+	var u sensUnit
+	if err := json.Unmarshal(raw, &u); err != nil {
+		return SensitivityResult{}, fmt.Errorf("experiments: decode sensitivity unit: %w", err)
+	}
+	return u.result(), nil
 }

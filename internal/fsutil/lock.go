@@ -7,8 +7,8 @@ package fsutil
 // The lock is cross-process where the platform supports it (flock(2) on
 // unix): two processes locking the same path exclude each other, and the
 // kernel releases the lock automatically if the holder dies — no stale
-// lock files to clean up, which matters for sharded campaign workers that
-// may be killed at any instant. On platforms without advisory locking the
+// lock files to clean up, which matters for campaign processes that may
+// be killed at any instant. On platforms without advisory locking the
 // call succeeds without providing exclusion; callers must therefore use it
 // only for single-flight deduplication (avoiding duplicate work), never
 // for correctness — anything published under the lock must still be

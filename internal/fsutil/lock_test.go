@@ -8,8 +8,9 @@ import (
 
 // Two independent acquisitions of the same lock path (distinct
 // descriptors, as two processes would hold) must exclude each other — this
-// is the cross-process single-flight guarantee sharded campaign workers
-// rely on to avoid generating the same trace-cache entry twice.
+// is the cross-process single-flight guarantee concurrent campaigns over
+// one cache directory rely on to avoid generating the same trace-cache
+// entry twice.
 func TestLockFileExcludes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "entry.fetrace.lock")
 

@@ -80,31 +80,6 @@ func readPrior(path string) (prior time.Duration, tornTail bool) {
 	return 0, tornTail
 }
 
-// LastBeat returns the wall-clock instant of the last parseable beat in
-// the sidecar at path, and whether one was found. The sharded-campaign
-// coordinator uses it post-mortem: when a worker is declared dead, its
-// shard journal's sidecar says when the worker last made progress, which
-// distinguishes a crash (recent beat) from a long wedge (stale beat) in
-// the campaign log.
-func LastBeat(path string) (time.Time, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return time.Time{}, false
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	for i := len(lines) - 1; i >= 0; i-- {
-		line := bytes.TrimSpace(lines[i])
-		if len(line) == 0 {
-			continue
-		}
-		var rec HeartbeatRecord
-		if json.Unmarshal(line, &rec) == nil && rec.AtUnixNs > 0 {
-			return time.Unix(0, rec.AtUnixNs), true
-		}
-	}
-	return time.Time{}, false
-}
-
 // Prior returns the cumulative elapsed time recovered from previous
 // sessions' beats — feed it to Progress.SetPrior. Nil-safe.
 func (h *Heartbeat) Prior() time.Duration {

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Two Store instances over the same directory stand in for two worker
-// processes of a sharded campaign: the single-flight lock must exclude
-// them, not just goroutines of one process — otherwise both workers
-// generate the same cold trace-cache entry.
+// Two Store instances over the same directory stand in for two campaign
+// processes sharing a cache: the single-flight lock must exclude them, not
+// just goroutines of one process — otherwise both processes generate the
+// same cold trace-cache entry.
 func TestLockExcludesAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewStore(dir, false)

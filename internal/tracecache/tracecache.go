@@ -231,8 +231,8 @@ func (s *Store) EntryPath(key Key) string {
 //
 // The lock has two layers. An in-process mutex serializes goroutines of
 // one process; an advisory flock on `<entry>.lock` (fsutil.LockFile)
-// serializes the worker *processes* of a sharded campaign, which share the
-// cache directory read-mostly. The flock layer is best-effort: if the
+// serializes separate *processes* (concurrent campaigns, tracegen) that
+// share the cache directory read-mostly. The flock layer is best-effort: if the
 // filesystem refuses it, generation proceeds without cross-process
 // exclusion — atomic publication keeps the cache sound either way, the
 // lock only prevents duplicate generation work (and the kernel drops it

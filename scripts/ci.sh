@@ -4,18 +4,16 @@
 #   tier 1  build + vet + the fast (-short) test suite — what every change
 #           must keep green (see ROADMAP.md)
 #   tier 2  the race detector over the concurrency-bearing packages: the
-#           worker pool, the shard coordinator, the campaign service's
-#           bounded priority queue, the fault-injection harness, the
-#           checkpoint journal, the front-end trace cache, the
-#           observability layer, the covert rate table's concurrent
-#           build, the experiment engine's resilience layer, the
-#           fused-mix-engine equivalence (clean runs and a
-#           mid-mix kill-and-resume), and the cmd-level kill-and-resume,
-#           sharded worker-kill-and-merge, dead-letter-and-replay,
-#           serve-mode drain-and-restart, warm-cache, and
-#           observability-equivalence tests, then a bounded (10 s per
-#           target) fuzz pass over the journal recovery, isa trace, and
-#           lane-sidecar fuzz targets
+#           worker pool, the campaign service's bounded priority queue,
+#           the fault-injection harness, the checkpoint journal, the
+#           front-end trace cache, the observability layer, the covert
+#           rate table's concurrent build, the experiment engine's
+#           resilience layer, the fused-mix-engine equivalence (clean runs
+#           and a mid-mix kill-and-resume), and the cmd-level
+#           kill-and-resume, dead-letter-and-replay, serve-mode
+#           drain-and-restart, warm-cache, and observability-equivalence
+#           tests, then a bounded (10 s per target) fuzz pass over the
+#           journal recovery, isa trace, and lane-sidecar fuzz targets
 #
 # Everything is hermetic (no network, no external services); the whole
 # script runs in a few minutes on a laptop. CI=full additionally runs the
@@ -36,7 +34,6 @@ go test -short ./...
 echo "==> go test -race (concurrency-bearing packages)"
 go test -race -short \
     ./internal/parallel/... \
-    ./internal/shard/... \
     ./internal/fsutil/... \
     ./internal/faultinject/... \
     ./internal/checkpoint/... \
@@ -49,10 +46,6 @@ go test -race -short \
 echo "==> go test -race (kill-and-resume + trace cache + observability equivalence)"
 go test -race -run 'TestCheckpointResumeEquivalence|TestStudyCheckpointResume|TestTransientFault|TestObservabilityDoesNotPerturbOutputs|TestUnitObserverSeam|TestTraceCacheWarmColdEquivalence|TestTraceCacheKeyMismatchFailsLoudly|TestTraceCacheCorruptEntry|TestTraceCacheLaneOutcomeSidecar|TestWarmFrontEndCache' \
     ./internal/experiments/ ./cmd/experiments/
-
-echo "==> go test -race (sharded worker-kill-and-merge equivalence)"
-go test -race -run 'TestShardedCampaignEquivalence|TestShardedStudyEquivalence' \
-    ./cmd/experiments/ ./cmd/sensitivity/
 
 echo "==> go test -race (dead-letter-and-replay + serve drain-and-restart)"
 # The tentpole robustness guarantees: a poisoned campaign completes
